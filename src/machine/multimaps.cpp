@@ -5,10 +5,13 @@
 #include <limits>
 
 #include "memsim/hierarchy.hpp"
+#include "memsim/ref_block.hpp"
 #include "stats/ols.hpp"
 #include "synth/patterns.hpp"
+#include "util/arena.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
+#include "util/metrics.hpp"
 
 namespace pmacx::machine {
 
@@ -100,8 +103,18 @@ std::vector<BandwidthSample> run_multimaps(const memsim::HierarchyConfig& hierar
                                            const MultiMapsOptions& options) {
   PMACX_CHECK(!options.working_sets.empty(), "multimaps: no working sets");
   PMACX_CHECK(!options.strides.empty(), "multimaps: no strides");
+  util::metrics::StageTimer timer("machine.multimaps");
+
+  // Probe tallies go to machine.probe.*, never memsim.*: memsim.refs counts
+  // traced references only.  Flushed once per probe.
+  util::metrics::Registry& metrics = util::metrics::Registry::global();
+  util::metrics::Counter& probe_samples = metrics.counter("machine.probe.samples");
+  util::metrics::Counter& probe_refs = metrics.counter("machine.probe.refs");
+  util::metrics::Counter& probe_lines = metrics.counter("machine.probe.line_accesses");
 
   std::vector<BandwidthSample> samples;
+  util::Arena arena;
+  memsim::RefBlockBuilder staged(arena, memsim::kStagedRefs);
 
   auto probe = [&](std::uint64_t working_set, std::uint32_t stride, bool random) {
     memsim::CacheHierarchy sim(hierarchy);
@@ -119,9 +132,22 @@ std::vector<BandwidthSample> run_multimaps(const memsim::HierarchyConfig& hierar
     const std::uint64_t elems = working_set / spec.elem_bytes;
     const std::uint64_t wanted = std::max(options.min_refs_per_probe, 3 * elems);
     const std::uint64_t refs = std::min(wanted, options.max_refs_per_probe);
-    for (std::uint64_t i = 0; i < refs; ++i) sim.access(stream.next());
+    // Staged and replayed a block at a time, counter-identical to
+    // streaming the references one by one.
+    for (std::uint64_t i = 0; i < refs;) {
+      const std::uint64_t block_end = std::min<std::uint64_t>(refs, i + memsim::kStagedRefs);
+      for (; i < block_end; ++i) {
+        const memsim::MemRef ref = stream.next();
+        staged.push(ref.addr, ref.size, ref.is_store);
+      }
+      sim.access_block(staged.block());
+      staged.clear();
+    }
 
     const memsim::AccessCounters& counters = sim.totals();
+    probe_samples.add();
+    probe_refs.add(counters.refs);
+    probe_lines.add(counters.line_accesses);
     const double seconds = timing.seconds_for(counters);
     PMACX_ASSERT(seconds > 0, "probe produced zero time");
 

@@ -22,7 +22,6 @@ std::vector<RankReplay> replay_ranks(const HierarchyConfig& config, std::uint32_
   // block-at-a-time: the generator and the simulator each run over a dense
   // array instead of interleaving per reference.  Staging order == replay
   // order, so the counters match the one-at-a-time path exactly.
-  constexpr std::size_t kBlockRefs = 4096;
   auto replay_one = [&](std::size_t index) {
     const auto rank = static_cast<std::uint32_t>(index);
     RankReplay result;
@@ -31,11 +30,11 @@ std::vector<RankReplay> replay_ranks(const HierarchyConfig& config, std::uint32_
     hierarchy.set_scope(rank + 1);
     RefGenerator next = make_stream(rank);
     util::Arena arena;
-    RefBlockBuilder block(arena, kBlockRefs);
+    RefBlockBuilder block(arena, kStagedRefs);
     std::uint64_t remaining = refs_per_rank;
     while (remaining > 0) {
       const std::uint64_t chunk =
-          std::min<std::uint64_t>(remaining, kBlockRefs);
+          std::min<std::uint64_t>(remaining, kStagedRefs);
       block.clear();
       for (std::uint64_t i = 0; i < chunk; ++i) {
         const MemRef ref = next();

@@ -15,6 +15,11 @@
 
 namespace pmacx::memsim {
 
+/// Staging capacity every producer uses: 4096 references are ~52 KiB of
+/// SoA arrays, small enough to stay in the host's L2 while the block
+/// replays and large enough to amortize the per-block dispatch.
+inline constexpr std::size_t kStagedRefs = 4096;
+
 /// A borrowed, read-only view of staged references.  The arrays live in
 /// whatever storage the producer staged them into (typically an Arena);
 /// the view must not outlive it.

@@ -1,11 +1,13 @@
 #include "synth/tracer.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <optional>
 
 #include "memsim/hierarchy.hpp"
+#include "memsim/ref_block.hpp"
 #include "memsim/threaded.hpp"
-#include "memsim/working_set.hpp"
+#include "util/arena.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
@@ -66,17 +68,42 @@ trace::TaskTrace trace_task(const SyntheticApp& app, std::uint32_t cores, std::u
     else
       threaded->set_scope(scope_id);
   };
-  auto access = [&](std::uint32_t thread, const memsim::MemRef& ref) {
-    if (flat)
-      flat->access(ref);
-    else
-      threaded->access(thread, ref);
-  };
   auto scope_of = [&](std::uint64_t scope_id) -> const memsim::AccessCounters& {
     return flat ? flat->scope(scope_id) : threaded->scope(scope_id);
   };
 
-  memsim::WorkingSetTracker working_set(options.target.line_bytes());
+  // References are staged into a RefBlock and replayed a block at a time.
+  // A block never spans two instruction slices, so the accounting scope is
+  // set once per slice, and replay order is generation order, so every
+  // counter matches streaming the references one at a time.  The flat
+  // hierarchy replays the block through access_block; the threaded one
+  // takes it reference by reference, reference i belonging to thread
+  // i % threads.  The clock is read around each flush, splitting the task
+  // into address generation and simulation.
+  using Clock = std::chrono::steady_clock;
+  util::Arena arena;
+  memsim::RefBlockBuilder staged(arena, memsim::kStagedRefs);
+  Clock::duration generate_time{};
+  Clock::duration simulate_time{};
+  Clock::time_point mark;
+  auto flush = [&](std::uint32_t first_thread) {
+    const Clock::time_point start = Clock::now();
+    generate_time += start - mark;
+    const memsim::RefBlock block = staged.block();
+    if (flat) {
+      flat->access_block(block);
+    } else {
+      std::uint32_t thread = first_thread;
+      for (std::size_t k = 0; k < block.count; ++k) {
+        threaded->access(thread, {block.addr[k], block.size[k], block.is_store[k] != 0});
+        if (++thread == threads) thread = 0;
+      }
+    }
+    staged.clear();
+    mark = Clock::now();
+    simulate_time += mark - start;
+  };
+
   const std::size_t levels = options.target.levels.size();
 
   trace::TaskTrace task;
@@ -120,19 +147,32 @@ trace::TaskTrace trace_task(const SyntheticApp& app, std::uint32_t cores, std::u
     }
 
     const std::uint32_t mem_instrs = std::max<std::uint32_t>(kernel.mem_instructions, 1);
-    working_set.set_scope(kernel.block_id);
-    for (std::uint64_t i = 0; i < sim_refs; ++i) {
+    mark = Clock::now();
+    std::uint32_t thread = 0;
+    for (std::uint64_t i = 0; i < sim_refs;) {
       // Chunked instruction attribution: instruction k owns the k-th slice
-      // of the kernel's reference stream, so early instructions absorb the
+      // of the kernel's reference stream (references i with
+      // i * mem_instrs / sim_refs == k), so early instructions absorb the
       // cold misses and later ones run warm — per-instruction hit-rate
       // diversity as in the paper's Fig. 4/5.
-      const std::uint32_t instr =
-          static_cast<std::uint32_t>((i * mem_instrs) / std::max<std::uint64_t>(sim_refs, 1));
+      const auto instr = static_cast<std::uint32_t>((i * mem_instrs) / sim_refs);
+      // The least i with i * mem_instrs >= (instr + 1) * sim_refs: the
+      // first reference of the next instruction's slice.
+      const std::uint64_t slice_end =
+          std::min(sim_refs, ((std::uint64_t{instr} + 1) * sim_refs + mem_instrs - 1) /
+                                 mem_instrs);
       set_scope(instr_scope(kernel.block_id, instr));
-      const auto thread = static_cast<std::uint32_t>(i % threads);
-      const memsim::MemRef ref = streams[thread].next();
-      access(thread, ref);
-      working_set.touch(ref.addr, ref.size);
+      while (i < slice_end) {
+        const std::uint32_t first_thread = thread;
+        const std::uint64_t block_end =
+            std::min<std::uint64_t>(slice_end, i + memsim::kStagedRefs);
+        for (; i < block_end; ++i) {
+          const memsim::MemRef ref = streams[thread].next();
+          staged.push(ref.addr, ref.size, ref.is_store);
+          if (++thread == threads) thread = 0;
+        }
+        flush(first_thread);
+      }
     }
 
     // Merge instruction scopes into the block aggregate.
@@ -220,6 +260,12 @@ trace::TaskTrace trace_task(const SyntheticApp& app, std::uint32_t cores, std::u
   // work totals are identical however the pool scheduled the tasks, so
   // these counters diff cleanly between 1- and N-thread runs.
   util::metrics::Registry& metrics = util::metrics::Registry::global();
+  const auto nanos = [](Clock::duration d) {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(d).count());
+  };
+  metrics.histogram("trace.generate.wall_ns").record(nanos(generate_time));
+  metrics.histogram("trace.simulate.wall_ns").record(nanos(simulate_time));
   metrics.counter("trace.tasks_traced").add();
   metrics.counter("trace.blocks_traced").add(kernels.size());
   metrics.counter("trace.refs_simulated").add(refs_simulated);

@@ -11,6 +11,13 @@
 // and its *counts* are recorded analytically (the full dynamic totals) while
 // its *rates* (cache hit rates) come from the simulated sample.  This
 // mirrors how production tracers bound instrumentation cost [paper ref 1].
+//
+// Each kernel's memory instructions own consecutive slices of its reference
+// stream.  References are staged per instruction slice into RefBlocks of
+// memsim::kStagedRefs and replayed through CacheHierarchy::access_block, so
+// the accounting scope is set once per slice; counters are identical to
+// streaming the references one at a time.  A block's WorkingSetBytes is the
+// kernel's data-region size, not a measured count of distinct lines.
 #pragma once
 
 #include <cstdint>

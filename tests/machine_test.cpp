@@ -11,7 +11,10 @@
 #include "machine/profile_io.hpp"
 #include "machine/targets.hpp"
 #include "machine/timing.hpp"
+#include "memsim/hierarchy.hpp"
+#include "synth/patterns.hpp"
 #include "util/error.hpp"
+#include "util/metrics.hpp"
 
 namespace pmacx {
 namespace {
@@ -110,6 +113,94 @@ TEST(MultiMapsTest, RandomProbesIncluded) {
   EXPECT_EQ(random_count, options.working_sets.size());
   EXPECT_EQ(samples.size(),
             options.working_sets.size() * (options.strides.size() + 1));
+}
+
+// The probe loop done one reference at a time: the oracle the staged block
+// replay in run_multimaps must match sample for sample.
+std::vector<BandwidthSample> per_reference_probe(const memsim::HierarchyConfig& hierarchy,
+                                                 const MemTimingModel& timing,
+                                                 const MultiMapsOptions& options) {
+  std::vector<BandwidthSample> samples;
+  auto probe = [&](std::uint64_t working_set, std::uint32_t stride, bool random) {
+    memsim::CacheHierarchy sim(hierarchy);
+    synth::StreamSpec spec;
+    spec.pattern = random ? synth::Pattern::Random : synth::Pattern::Strided;
+    spec.base_addr = 1ull << 40;
+    spec.footprint_bytes = working_set;
+    spec.elem_bytes = 8;
+    spec.stride_elems = stride;
+    spec.store_fraction = 0.0;
+    synth::RefStream stream(spec, options.seed + working_set + stride + (random ? 1 : 0));
+    const std::uint64_t wanted = std::max(options.min_refs_per_probe, 3 * (working_set / 8));
+    const std::uint64_t refs = std::min(wanted, options.max_refs_per_probe);
+    for (std::uint64_t i = 0; i < refs; ++i) sim.access(stream.next());
+    const memsim::AccessCounters& counters = sim.totals();
+    BandwidthSample sample;
+    sample.working_set_bytes = working_set;
+    sample.stride_elems = stride;
+    sample.random = random;
+    double rate = 0.0;
+    for (std::size_t lvl = 0; lvl < memsim::kMaxLevels; ++lvl) {
+      if (lvl < hierarchy.levels.size()) rate = counters.cumulative_hit_rate(lvl);
+      sample.hit_rates[lvl] = rate;
+    }
+    sample.bandwidth_bytes_per_s =
+        static_cast<double>(counters.bytes) / timing.seconds_for(counters);
+    samples.push_back(sample);
+  };
+  for (std::uint64_t working_set : options.working_sets) {
+    for (std::uint32_t stride : options.strides) probe(working_set, stride, false);
+    if (options.include_random) probe(working_set, 1, true);
+  }
+  return samples;
+}
+
+TEST(MultiMapsTest, StagedProbeMatchesPerReferenceProbeOnEveryTarget) {
+  MultiMapsOptions options;
+  options.working_sets = {16ull << 10, 256ull << 10, 4ull << 20};
+  options.strides = {1, 8};
+  // 6144 references for the 16 KiB set (a ragged second block), 50000 for
+  // the larger ones.
+  options.min_refs_per_probe = 5'000;
+  options.max_refs_per_probe = 50'000;
+  for (const std::string& name : machine::target_names()) {
+    const TargetSystem sys = machine::target_by_name(name);
+    const MemTimingModel timing(sys.hierarchy, sys.clock_ghz, sys.latency_exposure);
+    const auto staged = machine::run_multimaps(sys.hierarchy, timing, options);
+    const auto oracle = per_reference_probe(sys.hierarchy, timing, options);
+    ASSERT_EQ(staged.size(), oracle.size()) << name;
+    for (std::size_t i = 0; i < staged.size(); ++i) {
+      EXPECT_EQ(staged[i].working_set_bytes, oracle[i].working_set_bytes) << name;
+      EXPECT_EQ(staged[i].stride_elems, oracle[i].stride_elems) << name;
+      EXPECT_EQ(staged[i].random, oracle[i].random) << name;
+      EXPECT_EQ(staged[i].hit_rates, oracle[i].hit_rates) << name << " sample " << i;
+      EXPECT_EQ(staged[i].bandwidth_bytes_per_s, oracle[i].bandwidth_bytes_per_s)
+          << name << " sample " << i;
+    }
+  }
+}
+
+TEST(MultiMapsTest, ProbeCountersStayOutOfMemsim) {
+  util::metrics::Registry& metrics = util::metrics::Registry::global();
+  const std::uint64_t samples_before = metrics.counter("machine.probe.samples").value();
+  const std::uint64_t refs_before = metrics.counter("machine.probe.refs").value();
+  const std::uint64_t lines_before = metrics.counter("machine.probe.line_accesses").value();
+  const std::uint64_t memsim_before = metrics.counter("memsim.refs").value();
+  const TargetSystem sys = machine::opteron_2level();
+  const MemTimingModel timing(sys.hierarchy, sys.clock_ghz);
+  const MultiMapsOptions options = fast_probe();
+  const auto samples = machine::run_multimaps(sys.hierarchy, timing, options);
+
+  std::uint64_t refs = 0;
+  for (std::uint64_t working_set : options.working_sets)
+    refs += (options.strides.size() + 1) *
+            std::min(std::max(options.min_refs_per_probe, 3 * (working_set / 8)),
+                     options.max_refs_per_probe);
+  EXPECT_EQ(metrics.counter("machine.probe.samples").value() - samples_before, samples.size());
+  EXPECT_EQ(metrics.counter("machine.probe.refs").value() - refs_before, refs);
+  // One line per 8-byte reference: the probes never straddle a line.
+  EXPECT_EQ(metrics.counter("machine.probe.line_accesses").value() - lines_before, refs);
+  EXPECT_EQ(metrics.counter("memsim.refs").value(), memsim_before);
 }
 
 // --------------------------------------------------------------- surface ----

@@ -2,10 +2,19 @@
 // laws, the two application models, comm-trace safety and the tracer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <map>
+#include <memory>
+#include <optional>
+#include <ostream>
 #include <set>
+#include <utility>
 
 #include "machine/targets.hpp"
+#include "memsim/hierarchy.hpp"
+#include "memsim/threaded.hpp"
 #include "simmpi/replay.hpp"
 #include "synth/app.hpp"
 #include "synth/patterns.hpp"
@@ -15,6 +24,7 @@
 #include "synth/tracer.hpp"
 #include "synth/uh3d.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace pmacx {
 namespace {
@@ -343,6 +353,170 @@ TEST(TracerTest, DeterministicTraces) {
   const auto b = synth::trace_task(app, 96, 0, tracer_options());
   EXPECT_EQ(a, b);
 }
+
+// ---------------------------------------------------- per-reference oracle ----
+
+// Counters of one (block id, memory instruction) scope.
+using ScopeCounters = std::map<std::pair<std::uint64_t, std::uint32_t>, memsim::AccessCounters>;
+
+// The tracer's simulation done one reference at a time, with the scope set
+// before every reference: the oracle the staged block replay must match.
+ScopeCounters per_reference_scopes(const std::vector<synth::KernelSpec>& kernels,
+                                   const synth::TracerOptions& options) {
+  memsim::HierarchyConfig target = options.target;
+  target.sample_shift = options.sample_shift;
+  const std::uint32_t threads = std::max<std::uint32_t>(options.threads_per_rank, 1);
+  std::optional<memsim::CacheHierarchy> flat;
+  std::optional<memsim::ThreadedHierarchy> threaded;
+  if (threads == 1)
+    flat.emplace(target);
+  else
+    threaded.emplace(target, threads, std::min(options.shared_from_level, target.levels.size()));
+
+  ScopeCounters scopes;
+  for (const synth::KernelSpec& kernel : kernels) {
+    const std::uint64_t sim_refs = std::min(kernel.total_refs(), options.max_refs_per_kernel);
+    const std::uint64_t slice_bytes =
+        synth::thread_slice_bytes(kernel.footprint_bytes, threads, target.line_bytes());
+    std::vector<RefStream> streams;
+    for (std::uint32_t t = 0; t < threads; ++t) {
+      StreamSpec spec;
+      spec.pattern = kernel.pattern;
+      spec.base_addr = (kernel.block_id << 40) + t * slice_bytes;
+      spec.footprint_bytes = slice_bytes;
+      spec.elem_bytes = kernel.elem_bytes;
+      spec.stride_elems = kernel.stride_elems;
+      spec.store_fraction = kernel.store_fraction;
+      streams.emplace_back(spec, util::derive_seed(options.seed, kernel.block_id * 64 + t));
+    }
+    const std::uint32_t mem_instrs = std::max<std::uint32_t>(kernel.mem_instructions, 1);
+    const auto scope_id = [&](std::uint32_t instr) { return kernel.block_id * 1024 + instr + 1; };
+    for (std::uint64_t i = 0; i < sim_refs; ++i) {
+      const auto instr = static_cast<std::uint32_t>((i * mem_instrs) / sim_refs);
+      const auto thread = static_cast<std::uint32_t>(i % threads);
+      const memsim::MemRef ref = streams[thread].next();
+      if (flat) {
+        flat->set_scope(scope_id(instr));
+        flat->access(ref);
+      } else {
+        threaded->set_scope(scope_id(instr));
+        threaded->access(thread, ref);
+      }
+    }
+    for (std::uint32_t instr = 0; instr < mem_instrs; ++instr)
+      scopes[{kernel.block_id, instr}] =
+          flat ? flat->scope(scope_id(instr)) : threaded->scope(scope_id(instr));
+  }
+  return scopes;
+}
+
+// `traced` with every simulated element (load/store split, hit rates,
+// memory-instruction counts) recomputed from the oracle's counters.
+trace::TaskTrace with_oracle_elements(trace::TaskTrace traced,
+                                      const std::vector<synth::KernelSpec>& kernels,
+                                      const ScopeCounters& scopes,
+                                      const synth::TracerOptions& options) {
+  const std::size_t levels = options.target.levels.size();
+  const auto hit_rates = [&](const memsim::AccessCounters& c) {
+    std::array<double, memsim::kMaxLevels> rates{};
+    double rate = 0.0;
+    for (std::size_t lvl = 0; lvl < memsim::kMaxLevels; ++lvl) {
+      if (lvl < levels) rate = c.cumulative_hit_rate(lvl);
+      rates[lvl] = rate;
+    }
+    return rates;
+  };
+  for (trace::BasicBlockRecord& record : traced.blocks) {
+    const auto kernel = std::find_if(kernels.begin(), kernels.end(),
+                                     [&](const auto& k) { return k.block_id == record.id; });
+    const std::uint64_t total_refs = kernel->total_refs();
+    const std::uint64_t sim_refs = std::min(total_refs, options.max_refs_per_kernel);
+    const double count_scale =
+        sim_refs > 0 ? static_cast<double>(total_refs) / static_cast<double>(sim_refs) : 0.0;
+    const std::uint32_t mem_instrs = std::max<std::uint32_t>(kernel->mem_instructions, 1);
+
+    memsim::AccessCounters block;
+    for (std::uint32_t instr = 0; instr < mem_instrs; ++instr)
+      block.merge(scopes.at({record.id, instr}));
+    const double sim_total = static_cast<double>(block.refs);
+    const double load_fraction = sim_total > 0 ? static_cast<double>(block.loads) / sim_total
+                                               : 1.0 - kernel->store_fraction;
+    record.set(trace::BlockElement::MemLoads, static_cast<double>(total_refs) * load_fraction);
+    record.set(trace::BlockElement::MemStores,
+               static_cast<double>(total_refs) * (1.0 - load_fraction));
+    const auto block_rates = hit_rates(block);
+    record.set(trace::BlockElement::HitRateL1, block_rates[0]);
+    record.set(trace::BlockElement::HitRateL2, block_rates[1]);
+    record.set(trace::BlockElement::HitRateL3, block_rates[2]);
+
+    for (trace::InstructionRecord& rec : record.instructions) {
+      if (rec.index >= mem_instrs) continue;  // floating-point: analytic
+      const memsim::AccessCounters& c = scopes.at({record.id, rec.index});
+      rec.set(trace::InstrElement::ExecCount, static_cast<double>(c.refs) * count_scale);
+      rec.set(trace::InstrElement::MemOps, static_cast<double>(c.refs) * count_scale);
+      const auto rates = hit_rates(c);
+      rec.set(trace::InstrElement::HitRateL1, rates[0]);
+      rec.set(trace::InstrElement::HitRateL2, rates[1]);
+      rec.set(trace::InstrElement::HitRateL3, rates[2]);
+    }
+  }
+  return traced;
+}
+
+struct OracleCase {
+  std::string name;
+  std::string app;
+  std::uint32_t cores;
+  synth::TracerOptions options;
+};
+
+void PrintTo(const OracleCase& c, std::ostream* os) { *os << c.name; }
+
+OracleCase oracle_case(std::string name, std::string app, std::uint32_t cores,
+                       std::uint64_t cap) {
+  return {std::move(name), std::move(app), cores, tracer_options(cap)};
+}
+
+std::vector<OracleCase> oracle_cases() {
+  std::vector<OracleCase> cases;
+  // Caps that split slices across several staged blocks with a ragged tail.
+  cases.push_back(oracle_case("PaperScaleFootprint", "specfem3d", 96, 30'001));
+  cases.push_back(oracle_case("Hybrid", "uh3d", 1024, 20'000));
+  cases.back().options.threads_per_rank = 2;
+  cases.push_back(oracle_case("SetSampled", "uh3d", 1024, 20'000));
+  cases.back().options.sample_shift = 2;
+  // Prefetching and Random replacement take access_block's per-reference
+  // fallback instead of grouped replay.
+  cases.push_back(oracle_case("Prefetch", "specfem3d", 96, 20'000));
+  cases.back().options.target.prefetch.enabled = true;
+  cases.push_back(oracle_case("RandomReplacement", "hpcg", 64, 20'000));
+  for (auto& level : cases.back().options.target.levels)
+    level.replacement = memsim::Replacement::Random;
+  // Fewer references than instructions: some slices are empty.
+  cases.push_back(oracle_case("TinyCap", "specfem3d", 96, 3));
+  return cases;
+}
+
+class TracerOracleTest : public ::testing::TestWithParam<OracleCase> {};
+
+TEST_P(TracerOracleTest, StagedReplayMatchesPerReferenceSimulation) {
+  const OracleCase& c = GetParam();
+  synth::SpecfemConfig specfem;
+  specfem.global_field_bytes = 100'000'000'000;  // bench::specfem_config's fields
+  const std::unique_ptr<synth::SyntheticApp> app =
+      c.app == "specfem3d" ? std::make_unique<synth::Specfem3dApp>(specfem)
+                           : synth::make_app(c.app);
+  const std::vector<synth::KernelSpec> kernels = app->kernels(c.cores, 0);
+  const trace::TaskTrace traced = synth::trace_task(*app, c.cores, 0, c.options);
+  const trace::TaskTrace expected =
+      with_oracle_elements(traced, kernels, per_reference_scopes(kernels, c.options), c.options);
+  ASSERT_EQ(traced.blocks.size(), kernels.size());
+  for (std::size_t b = 0; b < traced.blocks.size(); ++b)
+    EXPECT_EQ(traced.blocks[b], expected.blocks[b]) << "block " << traced.blocks[b].id;
+}
+
+INSTANTIATE_TEST_SUITE_P(Configs, TracerOracleTest, ::testing::ValuesIn(oracle_cases()),
+                         [](const auto& info) { return info.param.name; });
 
 }  // namespace
 }  // namespace pmacx
