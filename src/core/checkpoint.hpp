@@ -1,4 +1,4 @@
-// Crash-safe checkpointing of fitted model sets (pmacx-ckpt-v1).
+// Crash-safe checkpointing of fitted model sets (pmacx-ckpt-v3).
 //
 // The expensive half of an extrapolation is per-element canonical fitting;
 // everything after it is cheap and deterministic.  A checkpointed fit
@@ -31,9 +31,10 @@ namespace pmacx::core {
 
 /// On-disk format version; bumped whenever the manifest or chunk layout
 /// changes.  A version mismatch discards the checkpoint (full re-fit).
-/// v2 appended the per-element sufficient-statistics block (SeriesMoments)
-/// after the influential flag; v1 checkpoints are discarded cleanly.
-inline constexpr const char* kCheckpointVersion = "pmacx-ckpt-v2";
+/// v3 dropped v2's per-element sufficient-statistics block, so a chunk
+/// record ends at the influential flag again; v1 and v2 checkpoints are
+/// discarded cleanly.
+inline constexpr const char* kCheckpointVersion = "pmacx-ckpt-v3";
 
 /// Content digest of a fitting workload: 16 lowercase hex chars over the
 /// input trace CRCs and every option field that changes fitted models.
@@ -67,9 +68,10 @@ struct CheckpointConfig {
   std::size_t kill_after_chunks = 0;
 };
 
-/// What a checkpointed fit did — reuse vs. recompute accounting.  Mirrored
-/// into the metrics registry (checkpoint.elements_reused, .elements_fitted,
-/// .chunks_discarded, .resumes).
+/// What a fit_task_models call did — reuse vs. recompute accounting.  For a
+/// checkpointed fit it is mirrored into the metrics registry
+/// (checkpoint.elements_reused, .elements_fitted, .chunks_discarded,
+/// .resumes).
 struct CheckpointStats {
   std::size_t elements_total = 0;
   std::size_t elements_reused = 0;   ///< loaded from valid chunks
@@ -78,7 +80,7 @@ struct CheckpointStats {
   bool resumed = false;              ///< at least one chunk was reused
 };
 
-/// The chunked on-disk store behind fit_task_models_checkpointed.  Exposed
+/// The chunked on-disk store behind checkpointed fit_task_models.  Exposed
 /// for tests (corruption sweeps, version/digest mismatch) and future
 /// subsystems that persist per-range results.
 class ModelCheckpoint {
@@ -116,15 +118,5 @@ class ModelCheckpoint {
   bool opened_ = false;
   std::size_t discarded_ = 0;
 };
-
-/// fit_task_models with crash-safe persistence: chunks already on disk under
-/// a matching digest are loaded instead of fitted (so resumed runs attempt
-/// strictly fewer fits — visible in fits.attempted.* metrics), missing ones
-/// are fitted with the options' pool policy and persisted as they complete.
-/// The returned set is byte-for-byte the one fit_task_models would produce.
-TaskModelSet fit_task_models_checkpointed(std::span<const trace::TaskTrace> inputs,
-                                          const ExtrapolationOptions& options,
-                                          const CheckpointConfig& config,
-                                          CheckpointStats* stats = nullptr);
 
 }  // namespace pmacx::core

@@ -4,12 +4,11 @@
 #include <array>
 #include <cmath>
 #include <csignal>
-#include <cstring>
+#include <iterator>
 #include <optional>
 #include <unordered_map>
 
 #include "core/checkpoint.hpp"
-#include "core/incremental.hpp"
 #include "stats/batch.hpp"
 #include "stats/bayes.hpp"
 #include "util/arena.hpp"
@@ -217,45 +216,34 @@ struct ElementOutcome {
 };
 
 /// The target-independent half of one element's extrapolation: choose the
-/// fit axis (FitPresent restriction), fit every canonical candidate, and
-/// score them for selection.  Pure and thread-safe, so it fans out across
-/// the pool.
-/// The fit-series choice shared by the scalar fit path and the incremental
-/// refitter's reuse check: FitPresent restricts the series to the counts
-/// where the element was actually observed (≥ 2 needed; otherwise fall
-/// back to the full, zero-filled series).
-void choose_fit_series(const Alignment& alignment, const AlignedElement& element,
-                       const ExtrapolationOptions& options, std::vector<double>& axis,
-                       std::vector<double>& values) {
-  axis.clear();
-  values.clear();
-  if (options.missing == MissingPolicy::FitPresent) {
-    for (std::size_t i = 0; i < element.values.size(); ++i) {
-      if (element.filled[i]) continue;
-      axis.push_back(alignment.axis[i]);
-      values.push_back(element.values[i]);
-    }
-    if (axis.size() < 2) {
-      axis.clear();
-      values.clear();
-    }
-  }
-  if (axis.empty()) {
-    axis.assign(alignment.axis.begin(), alignment.axis.end());
-    values.assign(element.values.begin(), element.values.end());
-  }
-}
-
+/// fit axis, fit every canonical candidate, and score them for selection.
+/// FitPresent restricts the series to the counts where the element was
+/// actually observed (≥ 2 needed; otherwise fall back to the full,
+/// zero-filled series).  Pure and thread-safe, so it fans out across the
+/// pool.
 ElementModels compute_element_models(const Alignment& alignment,
                                      const AlignedElement& element,
                                      const InfluenceIndex& influence,
                                      const ExtrapolationOptions& options) {
   ElementModels em;
-  choose_fit_series(alignment, element, options, em.fit_axis, em.fit_values);
+  if (options.missing == MissingPolicy::FitPresent) {
+    for (std::size_t i = 0; i < element.values.size(); ++i) {
+      if (element.filled[i]) continue;
+      em.fit_axis.push_back(alignment.axis[i]);
+      em.fit_values.push_back(element.values[i]);
+    }
+    if (em.fit_axis.size() < 2) {
+      em.fit_axis.clear();
+      em.fit_values.clear();
+    }
+  }
+  if (em.fit_axis.empty()) {
+    em.fit_axis.assign(alignment.axis.begin(), alignment.axis.end());
+    em.fit_values.assign(element.values.begin(), element.values.end());
+  }
   em.candidates = stats::fit_all(em.fit_axis, em.fit_values, options.fit);
   em.scores = stats::selection_scores(em.candidates, em.fit_axis, em.fit_values,
                                       options.fit);
-  em.moments = stats::SeriesMoments::from_series(em.fit_axis, em.fit_values);
   em.influential = influence.lookup(element.key);
   return em;
 }
@@ -417,15 +405,14 @@ std::vector<ElementModels> compute_models_chunk(const Alignment& alignment,
     em.fit_values.assign(element.values.begin(), element.values.end());
     em.candidates.assign(candidates + b * forms, candidates + (b + 1) * forms);
     em.scores.assign(scores + b * forms, scores + (b + 1) * forms);
-    em.moments = stats::SeriesMoments::from_series(em.fit_axis, em.fit_values);
     em.influential = influence.lookup(element.key);
   }
   return out;
 }
 
-/// The fit stage shared by every fitting entry point (direct extrapolation,
-/// model-set fitting, checkpointed fitting): batches of kFitBatch elements
-/// fan out across the pool, each batch running the SoA fitter.
+/// The fit stage shared by direct extrapolation and model-set fitting:
+/// batches of kFitBatch elements fan out across the pool, each batch running
+/// the SoA fitter.
 std::vector<ElementModels> compute_models_stage(const Alignment& alignment,
                                                 const InfluenceIndex& influence,
                                                 const ExtrapolationOptions& options,
@@ -654,29 +641,9 @@ std::size_t TaskModelSet::memory_bytes() const {
 }
 
 TaskModelSet fit_task_models(std::span<const trace::TaskTrace> inputs,
-                             const ExtrapolationOptions& options) {
-  PMACX_CHECK(inputs.size() >= 2, "extrapolation requires at least two input traces");
-
-  TaskModelSet set;
-  set.alignment = align_traces(inputs, options.missing);
-  set.options = options;
-  set.options.pool = nullptr;  // a cached set must not outlive a borrowed pool
-  set.app = inputs.back().app;
-  set.rank = inputs.back().rank;
-  set.target_system = inputs.back().target_system;
-  set.axis_name = "cores";
-
-  const InfluenceIndex influence(inputs.back(), options.influence_threshold);
-  util::metrics::StageTimer fit_timer("extrapolate.fit");
-  set.models = compute_models_stage(set.alignment, influence, options, 0,
-                                    set.alignment.elements.size());
-  return set;
-}
-
-TaskModelSet fit_task_models_checkpointed(std::span<const trace::TaskTrace> inputs,
-                                          const ExtrapolationOptions& options,
-                                          const CheckpointConfig& config,
-                                          CheckpointStats* stats_out) {
+                             const ExtrapolationOptions& options,
+                             const CheckpointConfig* checkpoint,
+                             CheckpointStats* stats_out) {
   PMACX_CHECK(inputs.size() >= 2, "extrapolation requires at least two input traces");
 
   TaskModelSet set;
@@ -691,49 +658,62 @@ TaskModelSet fit_task_models_checkpointed(std::span<const trace::TaskTrace> inpu
   const InfluenceIndex influence(inputs.back(), options.influence_threshold);
   const std::size_t count = set.alignment.elements.size();
 
-  ModelCheckpoint checkpoint(config);
-  checkpoint.open(count);
-
-  CheckpointStats stats;
-  stats.elements_total = count;
-
-  // Chunks are processed in order — parallel fitting *within* a chunk, one
+  // Without a checkpoint the whole alignment is one range.  With one, its
+  // chunks are processed in order — parallel fitting *within* a chunk, one
   // atomic write per completed chunk — so a crash at any instant loses at
   // most the chunk in flight and the on-disk state is always a valid prefix
   // of the work (plus whatever earlier chunks a prior run completed).
-  set.models.resize(count);
+  std::optional<ModelCheckpoint> store;
+  if (checkpoint != nullptr) {
+    store.emplace(*checkpoint);
+    store->open(count);
+  }
+  const std::size_t ranges = store ? store->chunk_count() : 1;
+
+  CheckpointStats stats;
+  stats.elements_total = count;
   util::metrics::StageTimer fit_timer("extrapolate.fit");
   std::size_t chunks_written = 0;
-  for (std::size_t c = 0; c < checkpoint.chunk_count(); ++c) {
-    const std::size_t begin = checkpoint.chunk_begin(c);
-    const std::size_t end = checkpoint.chunk_end(c);
-    if (std::optional<std::vector<ElementModels>> cached = checkpoint.load_chunk(c)) {
-      for (std::size_t i = 0; i < cached->size(); ++i)
-        set.models[begin + i] = std::move((*cached)[i]);
+  for (std::size_t c = 0; c < ranges; ++c) {
+    const std::size_t begin = store ? store->chunk_begin(c) : 0;
+    const std::size_t end = store ? store->chunk_end(c) : count;
+    std::optional<std::vector<ElementModels>> chunk;
+    if (store) chunk = store->load_chunk(c);
+    if (chunk) {
       stats.elements_reused += end - begin;
-      continue;
+    } else {
+      chunk = compute_models_stage(set.alignment, influence, options, begin, end - begin);
+      stats.elements_fitted += end - begin;
+      if (store) {
+        store->save_chunk(c, *chunk);
+        ++chunks_written;
+        if (checkpoint->kill_after_chunks > 0 &&
+            chunks_written >= checkpoint->kill_after_chunks) {
+          // Crash-injection hook for resume tests: SIGKILL cannot be caught
+          // or cleaned up after — exactly the failure the checkpoint exists
+          // for.
+          std::raise(SIGKILL);
+        }
+      }
     }
-    std::vector<ElementModels> chunk =
-        compute_models_stage(set.alignment, influence, options, begin, end - begin);
-    checkpoint.save_chunk(c, chunk);
-    for (std::size_t i = 0; i < chunk.size(); ++i) set.models[begin + i] = std::move(chunk[i]);
-    stats.elements_fitted += end - begin;
-    ++chunks_written;
-    if (config.kill_after_chunks > 0 && chunks_written >= config.kill_after_chunks) {
-      // Crash-injection hook for resume tests: SIGKILL cannot be caught or
-      // cleaned up after — exactly the failure the checkpoint exists for.
-      std::raise(SIGKILL);
+    if (set.models.empty()) {
+      set.models = std::move(*chunk);
+    } else {
+      set.models.insert(set.models.end(), std::make_move_iterator(chunk->begin()),
+                        std::make_move_iterator(chunk->end()));
     }
   }
-  stats.chunks_discarded = checkpoint.chunks_discarded();
-  stats.resumed = stats.elements_reused > 0;
 
-  util::metrics::Registry& metrics = util::metrics::Registry::global();
-  metrics.counter("checkpoint.elements_reused").add(stats.elements_reused);
-  metrics.counter("checkpoint.elements_fitted").add(stats.elements_fitted);
-  if (stats.chunks_discarded > 0)
-    metrics.counter("checkpoint.chunks_discarded").add(stats.chunks_discarded);
-  if (stats.resumed) metrics.counter("checkpoint.resumes").add();
+  if (store) {
+    stats.chunks_discarded = store->chunks_discarded();
+    stats.resumed = stats.elements_reused > 0;
+    util::metrics::Registry& metrics = util::metrics::Registry::global();
+    metrics.counter("checkpoint.elements_reused").add(stats.elements_reused);
+    metrics.counter("checkpoint.elements_fitted").add(stats.elements_fitted);
+    if (stats.chunks_discarded > 0)
+      metrics.counter("checkpoint.chunks_discarded").add(stats.chunks_discarded);
+    if (stats.resumed) metrics.counter("checkpoint.resumes").add();
+  }
   if (stats_out != nullptr) *stats_out = stats;
   return set;
 }
@@ -772,131 +752,6 @@ ExtrapolationResult extrapolate_from_models(const TaskModelSet& models,
   return apply_outcomes(models.alignment, std::move(outcomes), target, target_cores,
                         models.axis_name, models.app, models.rank, models.target_system,
                         options);
-}
-
-namespace {
-
-/// Fitting-relevant option fields that must match for a previous set's
-/// models to be candidates for reuse.  Evaluation-time knobs (interval
-/// coverage, bootstrap resamples, rounding, domain rejection, pool policy)
-/// never change fitted candidates and are deliberately excluded.
-bool fit_options_compatible(const ExtrapolationOptions& a, const ExtrapolationOptions& b) {
-  return a.missing == b.missing && a.influence_threshold == b.influence_threshold &&
-         a.fit.forms == b.fit.forms && a.fit.criterion == b.fit.criterion &&
-         a.fit.loo_cv == b.fit.loo_cv && a.fit.tie_tolerance == b.fit.tie_tolerance;
-}
-
-/// Bitwise series identity: reuse must be exact, so -0.0 vs 0.0 (or any
-/// payload difference == would forgive) disqualifies it.
-bool same_series(std::span<const double> a, std::span<const double> b) {
-  return a.size() == b.size() &&
-         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
-}
-
-void record_incremental_metrics(const IncrementalFitStats& stats) {
-  util::metrics::Registry& metrics = util::metrics::Registry::global();
-  metrics.counter("fits.incremental.reused").add(stats.elements_reused);
-  metrics.counter("fits.incremental.refit").add(stats.elements_refit);
-  metrics.counter("fits.incremental.extended").add(stats.moments_extended);
-  if (stats.cold) metrics.counter("fits.incremental.cold").add();
-}
-
-}  // namespace
-
-TaskModelSet fit_task_models_incremental(std::span<const trace::TaskTrace> inputs,
-                                         const ExtrapolationOptions& options,
-                                         const TaskModelSet* previous,
-                                         IncrementalFitStats* stats_out) {
-  PMACX_CHECK(inputs.size() >= 2, "extrapolation requires at least two input traces");
-
-  IncrementalFitStats stats;
-  const bool compatible =
-      previous != nullptr && previous->axis_name == "cores" &&
-      previous->app == inputs.back().app && previous->rank == inputs.back().rank &&
-      previous->target_system == inputs.back().target_system &&
-      previous->models.size() == previous->alignment.elements.size() &&
-      fit_options_compatible(previous->options, options);
-  if (!compatible) {
-    stats.cold = true;
-    TaskModelSet set = fit_task_models(inputs, options);
-    stats.elements_total = set.models.size();
-    stats.elements_refit = set.models.size();
-    record_incremental_metrics(stats);
-    if (stats_out != nullptr) *stats_out = stats;
-    return set;
-  }
-
-  TaskModelSet set;
-  set.alignment = align_traces(inputs, options.missing);
-  set.options = options;
-  set.options.pool = nullptr;  // a cached set must not outlive a borrowed pool
-  set.app = inputs.back().app;
-  set.rank = inputs.back().rank;
-  set.target_system = inputs.back().target_system;
-  set.axis_name = "cores";
-
-  const InfluenceIndex influence(inputs.back(), options.influence_threshold);
-  const std::size_t count = set.alignment.elements.size();
-  stats.elements_total = count;
-  set.models.resize(count);
-
-  util::metrics::StageTimer fit_timer("extrapolate.fit");
-
-  // Merge-join the new elements against the previous set (both sorted by
-  // ElementKey).  An element whose chosen fit series is bitwise unchanged
-  // reuses the previous models wholesale — only `influential` is
-  // recomputed, because the influence reference (the largest input trace)
-  // has changed.  Everything else refits through the shared stage.
-  std::vector<std::size_t> refit;
-  std::vector<double> axis, values;
-  std::size_t j = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const AlignedElement& element = set.alignment.elements[i];
-    choose_fit_series(set.alignment, element, options, axis, values);
-    while (j < previous->alignment.elements.size() &&
-           previous->alignment.elements[j].key < element.key)
-      ++j;
-    const ElementModels* prev =
-        (j < previous->alignment.elements.size() &&
-         previous->alignment.elements[j].key == element.key)
-            ? &previous->models[j]
-            : nullptr;
-    if (prev != nullptr && same_series(prev->fit_axis, axis) &&
-        same_series(prev->fit_values, values)) {
-      set.models[i] = *prev;
-      set.models[i].influential = influence.lookup(element.key);
-      ++stats.elements_reused;
-      continue;
-    }
-    // A grown series whose prefix is exactly what the previous moments
-    // summarize extends them in O(1) — the fingerprint chains per sample,
-    // so prefix identity is one u32 comparison.  The refit recomputes the
-    // same moments from the full series (extension and recomputation are
-    // bitwise identical, pinned in tests/stats_suffstats_test.cpp); the
-    // tally tracks how much of the workload was a pure append.
-    if (prev != nullptr && prev->moments.count > 0 && prev->moments.count < axis.size() &&
-        stats::series_fingerprint(axis, values,
-                                  static_cast<std::size_t>(prev->moments.count)) ==
-            prev->moments.fingerprint)
-      ++stats.moments_extended;
-    refit.push_back(i);
-  }
-
-  if (!refit.empty()) {
-    Alignment scratch;
-    scratch.axis = set.alignment.axis;
-    scratch.elements.reserve(refit.size());
-    for (std::size_t index : refit) scratch.elements.push_back(set.alignment.elements[index]);
-    std::vector<ElementModels> fitted =
-        compute_models_stage(scratch, influence, options, 0, scratch.elements.size());
-    for (std::size_t k = 0; k < refit.size(); ++k)
-      set.models[refit[k]] = std::move(fitted[k]);
-  }
-  stats.elements_refit = refit.size();
-
-  record_incremental_metrics(stats);
-  if (stats_out != nullptr) *stats_out = stats;
-  return set;
 }
 
 }  // namespace pmacx::core

@@ -16,7 +16,6 @@
 #include "core/diagnostics.hpp"
 #include "core/report.hpp"
 #include "stats/canonical.hpp"
-#include "stats/suffstats.hpp"
 #include "trace/task_trace.hpp"
 
 namespace pmacx::util {
@@ -24,6 +23,9 @@ class ThreadPool;
 }
 
 namespace pmacx::core {
+
+struct CheckpointConfig;  // core/checkpoint.hpp
+struct CheckpointStats;
 
 /// Extrapolation policy knobs.
 struct ExtrapolationOptions {
@@ -108,10 +110,6 @@ struct ElementModels {
   std::vector<double> fit_values;
   std::vector<stats::FittedModel> candidates;  ///< order of options.fit.forms
   std::vector<double> scores;                  ///< stats::selection_scores
-  /// Sufficient statistics of the fit series (every transform family).
-  /// Fixed-size and O(1)-appendable: an ingested trace at a new core count
-  /// extends these per element without re-reading earlier samples.
-  stats::SeriesMoments moments;
   bool influential = false;                    ///< paper's 0.1 % rule
 };
 
@@ -138,8 +136,18 @@ struct TaskModelSet {
 /// the expensive half of extrapolate_task — without committing to a target.
 /// The per-element fit stage fans out across the pool exactly like
 /// extrapolate_task's (timed under extrapolate.fit).
+///
+/// With a `checkpoint`, fitting is crash-safe: elements are fitted in the
+/// checkpoint's chunk ranges, chunks already on disk under a matching
+/// digest are loaded instead of fitted (so a resumed run attempts strictly
+/// fewer fits — visible in fits.attempted.* metrics), and each fitted chunk
+/// is persisted as it completes (see core/checkpoint.hpp).  `stats`, when
+/// given, receives the reuse-vs-fit accounting.  The returned set is the
+/// same either way, byte for byte.
 TaskModelSet fit_task_models(std::span<const trace::TaskTrace> inputs,
-                             const ExtrapolationOptions& options = {});
+                             const ExtrapolationOptions& options = {},
+                             const CheckpointConfig* checkpoint = nullptr,
+                             CheckpointStats* stats = nullptr);
 
 /// Evaluates a fitted model set at `target_cores`: per-element model
 /// selection (domain-aware when the set was fitted with

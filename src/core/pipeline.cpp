@@ -155,7 +155,7 @@ PipelineResult run_pipeline(const synth::SyntheticApp& app,
     CheckpointConfig ckpt;
     ckpt.dir = config.checkpoint_dir + "/models";
     ckpt.digest = models_digest_for_traces(series, extrapolation);
-    const TaskModelSet models = fit_task_models_checkpointed(series, extrapolation, ckpt);
+    const TaskModelSet models = fit_task_models(series, extrapolation, &ckpt);
     return extrapolate_from_models(models, config.target_core_count);
   }();
   result.report = std::move(extrapolated.report);

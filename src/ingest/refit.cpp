@@ -66,38 +66,20 @@ void RefitScheduler::run(const std::string& collection) {
             trace::stream_load(path, options_.stream_budget, /*force_buffered=*/true));
 
       const std::string digest = core::models_digest_for_files(paths, options_.fit);
-      std::shared_ptr<const core::TaskModelSet> previous;
-      {
-        std::scoped_lock lock(mutex_);
-        previous = states_[collection].previous;
-      }
-
-      core::IncrementalFitStats stats;
-      auto models = std::make_shared<const core::TaskModelSet>(
-          core::fit_task_models_incremental(inputs, options_.fit, previous.get(), &stats));
+      auto models =
+          std::make_shared<const core::TaskModelSet>(core::fit_task_models(inputs, options_.fit));
 
       // The swap itself: one shared_ptr store under the cache's mutex.
       // In-flight requests keep the set they already resolved; new requests
       // see the fresh digest's models immediately.
       const Clock::time_point swap_started = Clock::now();
-      publish_(digest, models);
+      publish_(digest, std::move(models));
       const auto swap_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
           Clock::now() - swap_started);
       registry().histogram("ingest.swap_latency")
           .record(static_cast<std::uint64_t>(swap_ns.count()));
-
-      {
-        std::scoped_lock lock(mutex_);
-        states_[collection].previous = models;
-      }
       registry().counter("ingest.refits").add();
-      registry().counter("ingest.refit.elements_reused").add(stats.elements_reused);
-      registry().counter("ingest.refit.elements_refit").add(stats.elements_refit);
-      registry().counter("ingest.refit.moments_extended").add(stats.moments_extended);
-      if (stats.cold) registry().counter("ingest.refit.cold").add();
-      PMACX_LOG_INFO << "ingest: refit " << collection << " -> " << digest << " ("
-                     << stats.elements_reused << " reused, " << stats.elements_refit
-                     << " refit of " << stats.elements_total << ")";
+      PMACX_LOG_INFO << "ingest: refit " << collection << " -> " << digest;
     }
   } catch (const util::Error& e) {
     // A failing refit never takes the serving path down: the previous set

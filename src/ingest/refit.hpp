@@ -1,22 +1,22 @@
-// Background incremental refitting of ingested collections.
+// Background refitting of ingested collections.
 //
 // Every committed upload extends a collection's input series, so its fitted
 // model set is stale the moment COMMIT returns.  The RefitScheduler closes
 // that gap off the request path: commits *schedule* a refit on the server's
-// shared thread pool, the refit runs core::fit_task_models_incremental
-// against the collection's previous set (bit-copying unchanged elements,
-// extending sufficient statistics, refitting only what changed), and the
-// finished set is handed to a publish hook that atomically swaps it into
-// the serving cache under its content digest.  In-flight requests keep the
-// shared_ptr they already resolved — the swap drops a reference, never a
-// response.
+// shared thread pool, the refit is a plain core::fit_task_models over the
+// collection's committed traces, and the finished set is handed to a
+// publish hook that atomically swaps it into the serving cache under its
+// content digest.  In-flight requests keep the shared_ptr they already
+// resolved — the swap drops a reference, never a response.  The scheduler
+// itself keeps no reference to a published set: once the cache evicts or
+// replaces it, its memory is gone.
 //
 // Scheduling is per-collection, deduplicated, and serialized: while a refit
 // for collection C runs, further commits to C set a dirty bit instead of
 // queueing (a burst of N uploads costs at most one running + one follow-up
-// refit), and two refits for the same collection never run concurrently —
-// which is what makes the previous-set handoff race-free.  Distinct
-// collections refit in parallel, bounded by the pool.
+// refit), and two refits for the same collection never run concurrently, so
+// a slow refit can never publish over a newer one.  Distinct collections
+// refit in parallel, bounded by the pool.
 //
 // The publish hook keeps this layer free of any service/ dependency: the
 // server wires it to ModelStore::insert_models, tests wire it to a vector.
@@ -28,7 +28,7 @@
 #include <string>
 #include <unordered_map>
 
-#include "core/incremental.hpp"
+#include "core/extrapolator.hpp"
 #include "ingest/collection.hpp"
 #include "util/threadpool.hpp"
 
@@ -71,8 +71,6 @@ class RefitScheduler {
   struct State {
     bool running = false;  ///< a refit task for this collection is live
     bool dirty = false;    ///< re-run once the live task finishes
-    /// The set the next refit extends; null until the first publish.
-    std::shared_ptr<const core::TaskModelSet> previous;
   };
 
   void run(const std::string& collection);

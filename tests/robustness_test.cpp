@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -749,6 +750,61 @@ std::string checkpoint_golden_bytes(const core::TaskModelSet& models) {
   return trace::to_binary(core::extrapolate_from_models(models, 256).trace);
 }
 
+/// Bitwise equality of doubles: EXPECT_EQ would accept 0.0 == -0.0 and
+/// reject NaN == NaN, both wrong for a store that must round-trip exactly.
+template <typename Doubles>
+bool bits_equal(const Doubles& a, const Doubles& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(CheckpointTest, RoundTripIsBitwise) {
+  const auto series = checkpoint_series();
+  const core::TaskModelSet fitted = core::fit_task_models(series);
+  ASSERT_FALSE(fitted.models.empty());
+
+  core::CheckpointConfig config;
+  config.dir = ::testing::TempDir() + "/pmacx_ckpt_roundtrip";
+  std::filesystem::remove_all(config.dir);
+  config.digest = "aaaaaaaaaaaaaaaa";
+  config.chunk_elements = 8;
+  core::ModelCheckpoint store(config);
+  store.open(fitted.models.size());
+  ASSERT_GT(store.chunk_count(), 1u);
+
+  for (std::size_t chunk = 0; chunk < store.chunk_count(); ++chunk) {
+    const std::size_t begin = store.chunk_begin(chunk);
+    const std::size_t end = store.chunk_end(chunk);
+    store.save_chunk(chunk, std::span(fitted.models).subspan(begin, end - begin));
+  }
+  for (std::size_t chunk = 0; chunk < store.chunk_count(); ++chunk) {
+    const auto loaded = store.load_chunk(chunk);
+    ASSERT_TRUE(loaded.has_value()) << "chunk " << chunk;
+    const std::size_t begin = store.chunk_begin(chunk);
+    ASSERT_EQ(loaded->size(), store.chunk_end(chunk) - begin);
+    for (std::size_t i = 0; i < loaded->size(); ++i) {
+      const core::ElementModels& got = (*loaded)[i];
+      const core::ElementModels& want = fitted.models[begin + i];
+      SCOPED_TRACE("element " + std::to_string(begin + i));
+      EXPECT_TRUE(bits_equal(got.fit_axis, want.fit_axis));
+      EXPECT_TRUE(bits_equal(got.fit_values, want.fit_values));
+      EXPECT_TRUE(bits_equal(got.scores, want.scores));
+      EXPECT_EQ(got.influential, want.influential);
+      ASSERT_EQ(got.candidates.size(), want.candidates.size());
+      for (std::size_t c = 0; c < got.candidates.size(); ++c) {
+        const stats::FittedModel& a = got.candidates[c];
+        const stats::FittedModel& b = want.candidates[c];
+        EXPECT_EQ(a.form, b.form) << "candidate " << c;
+        EXPECT_TRUE(bits_equal(a.params, b.params)) << "candidate " << c;
+        EXPECT_EQ(std::memcmp(&a.sse, &b.sse, sizeof(double)), 0) << "candidate " << c;
+        EXPECT_EQ(std::memcmp(&a.r2, &b.r2, sizeof(double)), 0) << "candidate " << c;
+        EXPECT_EQ(a.ok, b.ok) << "candidate " << c;
+      }
+    }
+  }
+  std::filesystem::remove_all(config.dir);
+}
+
 TEST(CheckpointTest, WarmResumeReusesEverythingAndMatchesColdRun) {
   const auto series = checkpoint_series();
   const std::string dir = ::testing::TempDir() + "/pmacx_ckpt_warm";
@@ -759,14 +815,14 @@ TEST(CheckpointTest, WarmResumeReusesEverythingAndMatchesColdRun) {
   config.chunk_elements = 2;
 
   core::CheckpointStats cold;
-  const auto cold_set = core::fit_task_models_checkpointed(series, {}, config, &cold);
+  const auto cold_set = core::fit_task_models(series, {}, &config, &cold);
   EXPECT_EQ(cold.elements_reused, 0u);
   EXPECT_EQ(cold.elements_fitted, cold.elements_total);
   EXPECT_FALSE(cold.resumed);
   const std::string golden = checkpoint_golden_bytes(cold_set);
 
   core::CheckpointStats warm;
-  const auto warm_set = core::fit_task_models_checkpointed(series, {}, config, &warm);
+  const auto warm_set = core::fit_task_models(series, {}, &config, &warm);
   EXPECT_EQ(warm.elements_fitted, 0u);
   EXPECT_EQ(warm.elements_reused, warm.elements_total);
   EXPECT_TRUE(warm.resumed);
@@ -782,14 +838,14 @@ TEST(CheckpointTest, DigestMismatchDiscardsStaleStateAndRefitsCleanly) {
   config.dir = dir;
   config.digest = "aaaaaaaaaaaaaaaa";
   config.chunk_elements = 2;
-  const auto first = core::fit_task_models_checkpointed(series, {}, config, nullptr);
+  const auto first = core::fit_task_models(series, {}, &config, nullptr);
   const std::string golden = checkpoint_golden_bytes(first);
 
   // Same directory, different content digest: everything on disk describes
   // some other workload and must be dropped, never reused.
   config.digest = "bbbbbbbbbbbbbbbb";
   core::CheckpointStats stats;
-  const auto refit = core::fit_task_models_checkpointed(series, {}, config, &stats);
+  const auto refit = core::fit_task_models(series, {}, &config, &stats);
   EXPECT_EQ(stats.elements_reused, 0u);
   EXPECT_EQ(stats.elements_fitted, stats.elements_total);
   EXPECT_FALSE(stats.resumed);
@@ -805,7 +861,7 @@ TEST(CheckpointTest, VersionMismatchDiscardsTheCheckpoint) {
   config.dir = dir;
   config.digest = "aaaaaaaaaaaaaaaa";
   config.chunk_elements = 2;
-  const auto first = core::fit_task_models_checkpointed(series, {}, config, nullptr);
+  const auto first = core::fit_task_models(series, {}, &config, nullptr);
   const std::string golden = checkpoint_golden_bytes(first);
 
   // Forge a manifest from a hypothetical older format version.  The CRC
@@ -827,7 +883,7 @@ TEST(CheckpointTest, VersionMismatchDiscardsTheCheckpoint) {
   util::save_checked(dir + "/manifest.ckpt", payload);
 
   core::CheckpointStats stats;
-  const auto refit = core::fit_task_models_checkpointed(series, {}, config, &stats);
+  const auto refit = core::fit_task_models(series, {}, &config, &stats);
   EXPECT_EQ(stats.elements_reused, 0u) << "stale-version chunks must never be reused";
   EXPECT_EQ(stats.elements_fitted, stats.elements_total);
   EXPECT_EQ(checkpoint_golden_bytes(refit), golden);
@@ -842,7 +898,7 @@ TEST(CheckpointTest, CorruptChunkIsDiscardedAndOnlyItIsRefitted) {
   config.dir = dir;
   config.digest = "aaaaaaaaaaaaaaaa";
   config.chunk_elements = 2;
-  const auto first = core::fit_task_models_checkpointed(series, {}, config, nullptr);
+  const auto first = core::fit_task_models(series, {}, &config, nullptr);
   const std::string golden = checkpoint_golden_bytes(first);
 
   std::string damaged_chunk = dir + "/models_000001.ckpt";
@@ -852,7 +908,7 @@ TEST(CheckpointTest, CorruptChunkIsDiscardedAndOnlyItIsRefitted) {
   write_raw(damaged_chunk, bytes);
 
   core::CheckpointStats stats;
-  const auto resumed = core::fit_task_models_checkpointed(series, {}, config, &stats);
+  const auto resumed = core::fit_task_models(series, {}, &config, &stats);
   EXPECT_GE(stats.chunks_discarded, 1u);
   EXPECT_GT(stats.elements_reused, 0u) << "undamaged chunks must still be reused";
   EXPECT_GT(stats.elements_fitted, 0u) << "the damaged chunk must be refitted";
@@ -869,7 +925,7 @@ TEST(CheckpointTest, CorruptManifestForcesCleanFullRefit) {
   config.dir = dir;
   config.digest = "aaaaaaaaaaaaaaaa";
   config.chunk_elements = 2;
-  const auto first = core::fit_task_models_checkpointed(series, {}, config, nullptr);
+  const auto first = core::fit_task_models(series, {}, &config, nullptr);
   const std::string golden = checkpoint_golden_bytes(first);
 
   std::string bytes = util::read_file(dir + "/manifest.ckpt");
@@ -877,7 +933,7 @@ TEST(CheckpointTest, CorruptManifestForcesCleanFullRefit) {
   write_raw(dir + "/manifest.ckpt", bytes);
 
   core::CheckpointStats stats;
-  const auto refit = core::fit_task_models_checkpointed(series, {}, config, &stats);
+  const auto refit = core::fit_task_models(series, {}, &config, &stats);
   EXPECT_EQ(stats.elements_reused, 0u);
   EXPECT_EQ(stats.elements_fitted, stats.elements_total);
   EXPECT_EQ(checkpoint_golden_bytes(refit), golden);
@@ -892,7 +948,7 @@ TEST(CheckpointTest, RandomCorruptionOfCheckpointFilesNeverCrashesOrLies) {
   config.dir = dir;
   config.digest = "aaaaaaaaaaaaaaaa";
   config.chunk_elements = 2;
-  const auto first = core::fit_task_models_checkpointed(series, {}, config, nullptr);
+  const auto first = core::fit_task_models(series, {}, &config, nullptr);
   const std::string golden = checkpoint_golden_bytes(first);
 
   std::vector<std::string> files;
@@ -909,7 +965,7 @@ TEST(CheckpointTest, RandomCorruptionOfCheckpointFilesNeverCrashesOrLies) {
     SCOPED_TRACE(files[target] + ": " + corruption.describe());
     write_raw(files[target], util::apply_corruption(pristine[target], corruption));
     core::CheckpointStats stats;
-    const auto models = core::fit_task_models_checkpointed(series, {}, config, &stats);
+    const auto models = core::fit_task_models(series, {}, &config, &stats);
     // The one inviolable contract: whatever the damage did, the result is
     // byte-identical and accounting stays total.
     EXPECT_EQ(checkpoint_golden_bytes(models), golden);

@@ -2,21 +2,31 @@
 // in-process server (duplicates, reordering, resume, CRC rejection), the
 // "@collection" pseudo-path on the data plane, the atomic model swap under
 // concurrent load (zero lost or garbled responses), and the ModelStore
-// insert/invalidation byte-accounting audit the swap path stands on.
+// insert/invalidation byte-accounting audit the swap path stands on, and
+// the refit scheduler holding no published set past the cache.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <filesystem>
 #include <fstream>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/extrapolator.hpp"
+#include "ingest/collection.hpp"
+#include "ingest/refit.hpp"
 #include "ingest/upload.hpp"
 #include "service/client.hpp"
 #include "service/model_store.hpp"
@@ -25,6 +35,7 @@
 #include "trace/task_trace.hpp"
 #include "util/crc32.hpp"
 #include "util/metrics.hpp"
+#include "util/threadpool.hpp"
 
 namespace pmacx {
 namespace {
@@ -163,6 +174,19 @@ std::string committed_path(const std::string& body) {
   return body.substr(at + 5, end - (at + 5));
 }
 
+std::uint64_t refits_completed() {
+  return util::metrics::Registry::global().counter("ingest.refits").value();
+}
+
+/// Blocks until a background refit finishes after the counter read `before`.
+void wait_for_refit_after(std::uint64_t before) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (refits_completed() <= before) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "the refit never finished";
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+}
+
 // --------------------------------------------------------------- protocol --
 
 TEST(ServiceIngestTest, UploadThenCollectionRefAnswersLikeDirectPaths) {
@@ -189,6 +213,41 @@ TEST(ServiceIngestTest, UploadThenCollectionRefAnswersLikeDirectPaths) {
   const core::ExtrapolationResult direct =
       core::extrapolate_task(inputs, 256, request.spec.to_options());
   EXPECT_EQ(response.body, trace::to_binary(direct.trace));
+
+  // Upload order must not matter: a collection filled in descending order,
+  // or in a seeded shuffle, answers after every commit exactly like a direct
+  // extrapolation of the sorted inputs — with the answer coming from the
+  // background refit's published set, not a request-time cold fit.
+  std::vector<double> shuffled = {16, 32, 64, 128};
+  std::mt19937_64 rng(17);
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  const std::vector<std::pair<std::string, std::vector<double>>> orders = {
+      {"laws_desc", {128, 64, 32, 16}}, {"laws_shuffled", shuffled}};
+  for (const auto& [collection, order] : orders) {
+    std::vector<TaskTrace> arrived;
+    for (const double p : order) {
+      SCOPED_TRACE(collection + " after the " + std::to_string(static_cast<int>(p)) +
+                   "-core commit");
+      const std::string name = std::to_string(static_cast<int>(p));
+      const std::uint64_t refits_before = refits_completed();
+      upload_whole(client, law_trace(p), collection, "law" + name + ".btrace",
+                   "s-" + collection + "-" + name);
+      arrived.push_back(law_trace(p));
+      if (arrived.size() < 2) continue;  // one trace cannot anchor a fit
+      wait_for_refit_after(refits_before);
+
+      std::vector<TaskTrace> sorted = arrived;
+      std::sort(sorted.begin(), sorted.end(), [](const TaskTrace& a, const TaskTrace& b) {
+        return a.core_count < b.core_count;
+      });
+      request.spec.trace_paths = {"@" + collection};
+      const service::Response answer = client.call(request);
+      ASSERT_EQ(answer.status, service::Status::Ok) << answer.body;
+      EXPECT_EQ(answer.body,
+                trace::to_binary(
+                    core::extrapolate_task(sorted, 256, request.spec.to_options()).trace));
+    }
+  }
 }
 
 TEST(ServiceIngestTest, OutOfOrderAndDuplicateChunksCommitTheExactBytes) {
@@ -417,6 +476,56 @@ TEST(ServiceIngestTest, LiveUploadUnderLoadLosesNoRequests) {
         << "collection never served the post-upload model set";
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
+}
+
+// ----------------------------------------------------- refit retention --
+
+TEST(RefitSchedulerTest, PublishedSetsDieWithTheirLastOutsideReference) {
+  const std::string root = fresh_ingest_dir("retain");
+  ingest::CollectionRegistry registry(root);
+  // Distinct core counts per collection give distinct content digests.
+  const std::vector<std::pair<std::string, std::vector<double>>> collections = {
+      {"alpha", {16, 32, 64}}, {"beta", {32, 64, 128}}};
+  for (const auto& [collection, cores] : collections) {
+    std::filesystem::create_directories(root + "/collections/" + collection);
+    for (const double p : cores) {
+      const std::string file = "law" + std::to_string(static_cast<int>(p)) + ".btrace";
+      std::ofstream(root + "/collections/" + collection + "/" + file, std::ios::binary)
+          << trace::to_binary(law_trace(p));
+      registry.add(collection, file, static_cast<std::uint32_t>(p));
+    }
+  }
+
+  // Stand-in for the serving cache: the hook's owner holds the only strong
+  // references, and the test watches each published set through a weak one.
+  std::mutex mutex;
+  std::map<std::string, std::shared_ptr<const core::TaskModelSet>> cache;
+  std::vector<std::weak_ptr<const core::TaskModelSet>> published;
+  auto pool = std::make_unique<util::ThreadPool>(2);
+  ingest::RefitScheduler scheduler(
+      {}, &registry, pool.get(),
+      [&](const std::string& digest, std::shared_ptr<const core::TaskModelSet> models) {
+        std::scoped_lock lock(mutex);
+        published.push_back(models);
+        cache[digest] = std::move(models);
+      });
+
+  const std::uint64_t before = refits_completed();
+  scheduler.schedule("alpha");
+  scheduler.schedule("beta");
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (refits_completed() < before + 2) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "the refits never finished";
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  pool.reset();  // drain: every refit task has returned
+
+  std::scoped_lock lock(mutex);
+  ASSERT_EQ(published.size(), 2u);
+  EXPECT_EQ(cache.size(), 2u);
+  cache.clear();
+  for (const std::weak_ptr<const core::TaskModelSet>& set : published)
+    EXPECT_TRUE(set.expired()) << "the scheduler still holds a published model set";
 }
 
 // -------------------------------------------- ModelStore swap accounting --

@@ -7,7 +7,7 @@
 // lying fsyncs, crash-after-N-ops) and drives the two durable-state
 // workloads in-process:
 //
-//   A  fit → checkpoint → crash → resume, via fit_task_models_checkpointed
+//   A  fit → checkpoint → crash → resume, via checkpointed fit_task_models
 //      over a synthetic three-point series.  A SimulatedCrash is treated as
 //      a node restart (faults reinstalled with a derived seed) and the run
 //      retried; the moment a fit completes it must account for every
@@ -181,7 +181,7 @@ bool run_checkpoint_workload(std::uint64_t seed, const std::string& workdir,
     try {
       core::CheckpointStats stats;
       const core::TaskModelSet set =
-          core::fit_task_models_checkpointed(series, {}, config, &stats);
+          core::fit_task_models(series, {}, &config, &stats);
       if (stats.elements_reused + stats.elements_fitted != stats.elements_total)
         return fail(result, "checkpoint accounting lost elements");
       if (golden_bytes(set) != golden)
@@ -202,7 +202,7 @@ bool run_checkpoint_workload(std::uint64_t seed, const std::string& workdir,
     result.healed = true;
     core::CheckpointStats stats;
     const core::TaskModelSet set =
-        core::fit_task_models_checkpointed(series, {}, config, &stats);
+        core::fit_task_models(series, {}, &config, &stats);
     if (golden_bytes(set) != golden)
       return fail(result, "post-heal fit diverged from the golden bytes");
   }

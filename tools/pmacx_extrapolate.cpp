@@ -285,7 +285,7 @@ int main(int argc, char** argv) {
       ckpt.kill_after_chunks = crash_after_chunks;
       core::CheckpointStats stats;
       const core::TaskModelSet models =
-          core::fit_task_models_checkpointed(traces, options, ckpt, &stats);
+          core::fit_task_models(traces, options, &ckpt, &stats);
       // Progress on stderr: stdout stays byte-identical to an uncheckpointed
       // run, which the resume golden test relies on.
       std::fprintf(stderr,
