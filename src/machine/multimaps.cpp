@@ -4,11 +4,9 @@
 #include <cmath>
 #include <limits>
 
-#include "memsim/hierarchy.hpp"
-#include "memsim/ref_block.hpp"
 #include "stats/ols.hpp"
 #include "synth/patterns.hpp"
-#include "util/arena.hpp"
+#include "synth/stream_replay.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
@@ -113,11 +111,7 @@ std::vector<BandwidthSample> run_multimaps(const memsim::HierarchyConfig& hierar
   util::metrics::Counter& probe_lines = metrics.counter("machine.probe.line_accesses");
 
   std::vector<BandwidthSample> samples;
-  util::Arena arena;
-  memsim::RefBlockBuilder staged(arena, memsim::kStagedRefs);
-
   auto probe = [&](std::uint64_t working_set, std::uint32_t stride, bool random) {
-    memsim::CacheHierarchy sim(hierarchy);
     synth::StreamSpec spec;
     spec.pattern = random ? synth::Pattern::Random : synth::Pattern::Strided;
     spec.base_addr = 1ull << 40;
@@ -132,17 +126,9 @@ std::vector<BandwidthSample> run_multimaps(const memsim::HierarchyConfig& hierar
     const std::uint64_t elems = working_set / spec.elem_bytes;
     const std::uint64_t wanted = std::max(options.min_refs_per_probe, 3 * elems);
     const std::uint64_t refs = std::min(wanted, options.max_refs_per_probe);
-    // Staged and replayed a block at a time, counter-identical to
-    // streaming the references one by one.
-    for (std::uint64_t i = 0; i < refs;) {
-      const std::uint64_t block_end = std::min<std::uint64_t>(refs, i + memsim::kStagedRefs);
-      for (; i < block_end; ++i) {
-        const memsim::MemRef ref = stream.next();
-        staged.push(ref.addr, ref.size, ref.is_store);
-      }
-      sim.access_block(staged.block());
-      staged.clear();
-    }
+    // The driver's one-stream, one-thread case, on a cold hierarchy.
+    synth::StreamReplay sim(hierarchy);
+    sim.replay({&stream, 1}, refs, 1, 0);
 
     const memsim::AccessCounters& counters = sim.totals();
     probe_samples.add();

@@ -79,6 +79,15 @@ void ThreadedHierarchy::access(std::uint32_t thread, const MemRef& ref) {
   }
 }
 
+void ThreadedHierarchy::access_block(const RefBlock& block, std::uint32_t first_thread) {
+  PMACX_CHECK(first_thread < threads_, "thread index out of range");
+  std::uint32_t thread = first_thread;
+  for (std::size_t k = 0; k < block.count; ++k) {
+    access(thread, {block.addr[k], block.size[k], block.is_store[k] != 0});
+    if (++thread == threads_) thread = 0;
+  }
+}
+
 const AccessCounters& ThreadedHierarchy::scope(std::uint64_t block_id) const {
   static const AccessCounters kEmpty{};
   const auto it = scopes_.find(block_id);

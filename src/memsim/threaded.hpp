@@ -32,6 +32,12 @@ class ThreadedHierarchy {
   /// shared levels.
   void access(std::uint32_t thread, const MemRef& ref);
 
+  /// Replays a staged block within the current scope, reference k issued
+  /// by thread (first_thread + k) % threads: the interleave of T streams
+  /// staged round-robin.  Counter-identical to calling access() per
+  /// reference.
+  void access_block(const RefBlock& block, std::uint32_t first_thread);
+
   /// Aggregated counters across all threads.
   const AccessCounters& totals() const { return totals_; }
 

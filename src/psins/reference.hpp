@@ -4,11 +4,12 @@
 // runtime on the target machine (e.g. SPECFEM3D's 143 s on Phase-I Blue
 // Waters).  We have no Blue Waters, so the measured runtime is produced by
 // a *higher-fidelity* simulation that shares no aggregation shortcuts with
-// the convolution: the demanding rank's kernels are pushed through the
-// target's cache simulator and timed **per reference** with the parametric
-// timing model (exact per-level hit counts × per-level costs — no MultiMAPS
-// surface, no per-block bandwidth aggregation), and the run is replayed over
-// the network model with per-rank measurement noise.  The gap between this
+// the convolution: the demanding rank's kernels — the tracer's own streams,
+// through the tracer's own driver (synth::StreamReplay) — are pushed through
+// the target's cache simulator and timed with the parametric timing model
+// (exact per-level hit counts × per-level costs — no MultiMAPS surface, no
+// per-block bandwidth aggregation), and the run is replayed over the
+// network model with per-rank measurement noise.  The gap between this
 // path and the convolution's is the honest modeling error Table I reports.
 #pragma once
 

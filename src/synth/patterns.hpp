@@ -41,10 +41,9 @@ struct StreamSpec {
   double store_fraction = 0.25;       ///< fraction of refs that are stores
 };
 
-/// Pulls `count` references from the stream, invoking sink(const MemRef&)
-/// for each.  Deterministic for a fixed `rng` state.  The stream keeps no
-/// state between calls beyond what `cursor` carries, so callers can
-/// interleave kernels.
+/// An endless reference stream over one region: each next() yields the
+/// pattern's next reference.  Deterministic for a fixed (spec, seed), and
+/// independent of every other stream, so callers can interleave streams.
 class RefStream {
  public:
   /// Validates the spec (footprint ≥ one element, non-zero element size).

@@ -2,16 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 
-#include "memsim/hierarchy.hpp"
-#include "memsim/ref_block.hpp"
-#include "memsim/threaded.hpp"
-#include "util/arena.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
-#include "util/rng.hpp"
 #include "util/threadpool.hpp"
 
 namespace pmacx::synth {
@@ -48,61 +42,7 @@ trace::TaskTrace trace_task(const SyntheticApp& app, std::uint32_t cores, std::u
 
   memsim::HierarchyConfig target = options.target;
   target.sample_shift = options.sample_shift;
-
-  // Pure-MPI mode uses the scalar hierarchy; hybrid mode the thread-aware
-  // one (private shallow levels, shared deep levels).  The thin adapters
-  // below keep the kernel loop common to both.
-  const std::uint32_t threads = std::max<std::uint32_t>(options.threads_per_rank, 1);
-  std::optional<memsim::CacheHierarchy> flat;
-  std::optional<memsim::ThreadedHierarchy> threaded;
-  if (threads == 1) {
-    flat.emplace(target);
-  } else {
-    const std::size_t shared_from =
-        std::min(options.shared_from_level, target.levels.size());
-    threaded.emplace(target, threads, shared_from);
-  }
-  auto set_scope = [&](std::uint64_t scope_id) {
-    if (flat)
-      flat->set_scope(scope_id);
-    else
-      threaded->set_scope(scope_id);
-  };
-  auto scope_of = [&](std::uint64_t scope_id) -> const memsim::AccessCounters& {
-    return flat ? flat->scope(scope_id) : threaded->scope(scope_id);
-  };
-
-  // References are staged into a RefBlock and replayed a block at a time.
-  // A block never spans two instruction slices, so the accounting scope is
-  // set once per slice, and replay order is generation order, so every
-  // counter matches streaming the references one at a time.  The flat
-  // hierarchy replays the block through access_block; the threaded one
-  // takes it reference by reference, reference i belonging to thread
-  // i % threads.  The clock is read around each flush, splitting the task
-  // into address generation and simulation.
-  using Clock = std::chrono::steady_clock;
-  util::Arena arena;
-  memsim::RefBlockBuilder staged(arena, memsim::kStagedRefs);
-  Clock::duration generate_time{};
-  Clock::duration simulate_time{};
-  Clock::time_point mark;
-  auto flush = [&](std::uint32_t first_thread) {
-    const Clock::time_point start = Clock::now();
-    generate_time += start - mark;
-    const memsim::RefBlock block = staged.block();
-    if (flat) {
-      flat->access_block(block);
-    } else {
-      std::uint32_t thread = first_thread;
-      for (std::size_t k = 0; k < block.count; ++k) {
-        threaded->access(thread, {block.addr[k], block.size[k], block.is_store[k] != 0});
-        if (++thread == threads) thread = 0;
-      }
-    }
-    staged.clear();
-    mark = Clock::now();
-    simulate_time += mark - start;
-  };
+  StreamReplay sim(target, options.threads_per_rank, options.shared_from_level);
 
   const std::size_t levels = options.target.levels.size();
 
@@ -125,60 +65,18 @@ trace::TaskTrace trace_task(const SyntheticApp& app, std::uint32_t cores, std::u
     const double count_scale =
         sim_refs > 0 ? static_cast<double>(total_refs) / static_cast<double>(sim_refs) : 0.0;
 
-    // One stream per thread, each over its slice of the kernel's footprint
-    // (an OpenMP-style static partition); pure MPI is the 1-thread case
-    // over the whole region.  Disjoint address regions per block keep
-    // kernels from aliasing in the simulated caches, like distinct
-    // allocations do in a real address space.
-    const std::uint64_t slice_bytes =
-        thread_slice_bytes(kernel.footprint_bytes, threads, options.target.line_bytes());
-    std::vector<RefStream> streams;
-    streams.reserve(threads);
-    for (std::uint32_t t = 0; t < threads; ++t) {
-      StreamSpec stream_spec;
-      stream_spec.pattern = kernel.pattern;
-      stream_spec.base_addr = (kernel.block_id << 40) + t * slice_bytes;
-      stream_spec.footprint_bytes = slice_bytes;
-      stream_spec.elem_bytes = kernel.elem_bytes;
-      stream_spec.stride_elems = kernel.stride_elems;
-      stream_spec.store_fraction = kernel.store_fraction;
-      streams.emplace_back(stream_spec,
-                           util::derive_seed(options.seed, kernel.block_id * 64 + t));
-    }
-
+    // Chunked instruction attribution: instruction k owns the k-th slice
+    // of the kernel's reference stream, so early instructions absorb the
+    // cold misses and later ones run warm — per-instruction hit-rate
+    // diversity as in the paper's Fig. 4/5.
     const std::uint32_t mem_instrs = std::max<std::uint32_t>(kernel.mem_instructions, 1);
-    mark = Clock::now();
-    std::uint32_t thread = 0;
-    for (std::uint64_t i = 0; i < sim_refs;) {
-      // Chunked instruction attribution: instruction k owns the k-th slice
-      // of the kernel's reference stream (references i with
-      // i * mem_instrs / sim_refs == k), so early instructions absorb the
-      // cold misses and later ones run warm — per-instruction hit-rate
-      // diversity as in the paper's Fig. 4/5.
-      const auto instr = static_cast<std::uint32_t>((i * mem_instrs) / sim_refs);
-      // The least i with i * mem_instrs >= (instr + 1) * sim_refs: the
-      // first reference of the next instruction's slice.
-      const std::uint64_t slice_end =
-          std::min(sim_refs, ((std::uint64_t{instr} + 1) * sim_refs + mem_instrs - 1) /
-                                 mem_instrs);
-      set_scope(instr_scope(kernel.block_id, instr));
-      while (i < slice_end) {
-        const std::uint32_t first_thread = thread;
-        const std::uint64_t block_end =
-            std::min<std::uint64_t>(slice_end, i + memsim::kStagedRefs);
-        for (; i < block_end; ++i) {
-          const memsim::MemRef ref = streams[thread].next();
-          staged.push(ref.addr, ref.size, ref.is_store);
-          if (++thread == threads) thread = 0;
-        }
-        flush(first_thread);
-      }
-    }
+    sim.replay_kernel(kernel, options.seed, sim_refs, mem_instrs,
+                      instr_scope(kernel.block_id, 0));
 
     // Merge instruction scopes into the block aggregate.
     memsim::AccessCounters block_counters;
     for (std::uint32_t instr = 0; instr < mem_instrs; ++instr)
-      block_counters.merge(scope_of(instr_scope(kernel.block_id, instr)));
+      block_counters.merge(sim.scope(instr_scope(kernel.block_id, instr)));
 
     trace::BasicBlockRecord record;
     record.id = kernel.block_id;
@@ -222,7 +120,7 @@ trace::TaskTrace trace_task(const SyntheticApp& app, std::uint32_t cores, std::u
     if (options.instruction_detail) {
       // Memory instructions: measured per-slice rates, analytic counts.
       for (std::uint32_t instr = 0; instr < mem_instrs && kernel.refs_per_visit > 0; ++instr) {
-        const memsim::AccessCounters& c = scope_of(instr_scope(kernel.block_id, instr));
+        const memsim::AccessCounters& c = sim.scope(instr_scope(kernel.block_id, instr));
         trace::InstructionRecord rec;
         rec.index = instr;
         rec.set(trace::InstrElement::ExecCount, static_cast<double>(c.refs) * count_scale);
@@ -260,17 +158,17 @@ trace::TaskTrace trace_task(const SyntheticApp& app, std::uint32_t cores, std::u
   // work totals are identical however the pool scheduled the tasks, so
   // these counters diff cleanly between 1- and N-thread runs.
   util::metrics::Registry& metrics = util::metrics::Registry::global();
-  const auto nanos = [](Clock::duration d) {
+  const auto nanos = [](StreamReplay::Clock::duration d) {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(d).count());
   };
-  metrics.histogram("trace.generate.wall_ns").record(nanos(generate_time));
-  metrics.histogram("trace.simulate.wall_ns").record(nanos(simulate_time));
+  metrics.histogram("trace.generate.wall_ns").record(nanos(sim.generate_time()));
+  metrics.histogram("trace.simulate.wall_ns").record(nanos(sim.simulate_time()));
   metrics.counter("trace.tasks_traced").add();
   metrics.counter("trace.blocks_traced").add(kernels.size());
   metrics.counter("trace.refs_simulated").add(refs_simulated);
   metrics.counter("trace.sampling_cap_hits").add(sampling_cap_hits);
-  const memsim::AccessCounters& totals = flat ? flat->totals() : threaded->totals();
+  const memsim::AccessCounters& totals = sim.totals();
   metrics.counter("memsim.refs").add(totals.refs);
   metrics.counter("memsim.loads").add(totals.loads);
   metrics.counter("memsim.stores").add(totals.stores);

@@ -13,11 +13,11 @@
 // mirrors how production tracers bound instrumentation cost [paper ref 1].
 //
 // Each kernel's memory instructions own consecutive slices of its reference
-// stream.  References are staged per instruction slice into RefBlocks of
-// memsim::kStagedRefs and replayed through CacheHierarchy::access_block, so
-// the accounting scope is set once per slice; counters are identical to
-// streaming the references one at a time.  A block's WorkingSetBytes is the
-// kernel's data-region size, not a measured count of distinct lines.
+// stream, and each slice is its own accounting scope.  The streams are
+// built, staged and replayed by StreamReplay (stream_replay.hpp), the same
+// driver the reference run and the MultiMAPS probe use.  A block's
+// WorkingSetBytes is the kernel's data-region size, not a measured count of
+// distinct lines.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +25,7 @@
 
 #include "memsim/config.hpp"
 #include "synth/app.hpp"
+#include "synth/stream_replay.hpp"
 #include "trace/signature.hpp"
 
 namespace pmacx::util {
@@ -57,7 +58,7 @@ struct TracerOptions {
   /// level detail for extrapolation).
   bool instruction_detail = true;
   /// Seed for the generated address streams.
-  std::uint64_t seed = 0x7ace;
+  std::uint64_t seed = kStreamSeed;
   /// Host-side execution pool (not owned; null = serial).  collect_signature
   /// fans independent per-rank trace_task simulations and per-rank comm
   /// trace instantiation across it.  This is an *execution* knob — distinct

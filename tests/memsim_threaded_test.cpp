@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include "memsim/hierarchy.hpp"
+#include "memsim/ref_block.hpp"
 #include "memsim/threaded.hpp"
 #include "synth/patterns.hpp"
+#include "util/arena.hpp"
 #include "util/error.hpp"
 
 namespace pmacx {
@@ -87,6 +89,45 @@ TEST(ThreadedTest, ScopesAggregateAcrossThreads) {
   EXPECT_EQ(h.scope(7).refs, 2u);
   EXPECT_EQ(h.totals().refs, 2u);
   EXPECT_EQ(h.scope(99).refs, 0u);
+}
+
+TEST(ThreadedTest, AccessBlockMatchesPerReferenceRotation) {
+  // Three threads with private L1s; blocks start mid-rotation and end on a
+  // ragged count, so a block that restarted at thread 0 would land
+  // references in the wrong private cache and move the L1 hits.
+  ThreadedHierarchy blocked(two_level(), 3, 1);
+  ThreadedHierarchy oracle(two_level(), 3, 1);
+  synth::StreamSpec spec;
+  spec.pattern = synth::Pattern::Gather;
+  spec.footprint_bytes = 1 << 12;
+  synth::RefStream a(spec, 9), b(spec, 9);
+  util::Arena arena;
+  memsim::RefBlockBuilder builder(arena, 1000);
+  std::uint32_t thread = 0;
+  for (int block = 0; block < 20; ++block) {
+    blocked.set_scope(block % 2 + 1);
+    oracle.set_scope(block % 2 + 1);
+    builder.clear();
+    const std::uint32_t first_thread = thread;
+    for (int k = 0; k < 997; ++k) {
+      const MemRef ref = a.next();
+      builder.push(ref.addr, ref.size, ref.is_store);
+      oracle.access(thread, b.next());
+      thread = (thread + 1) % 3;
+    }
+    blocked.access_block(builder.block(), first_thread);
+  }
+  for (std::uint64_t scope : {0u, 1u, 2u}) {
+    const memsim::AccessCounters& got = scope == 0 ? blocked.totals() : blocked.scope(scope);
+    const memsim::AccessCounters& want = scope == 0 ? oracle.totals() : oracle.scope(scope);
+    EXPECT_EQ(got.refs, want.refs);
+    EXPECT_EQ(got.stores, want.stores);
+    EXPECT_EQ(got.line_accesses, want.line_accesses);
+    EXPECT_EQ(got.level_hits, want.level_hits);
+    EXPECT_EQ(got.memory_accesses, want.memory_accesses);
+    EXPECT_EQ(got.writebacks, want.writebacks);
+  }
+  EXPECT_THROW(blocked.access_block(builder.block(), 3), util::Error);
 }
 
 TEST(ThreadedTest, ShareEverythingAndShareNothingExtremes) {

@@ -2,6 +2,9 @@
 // the reference simulator.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "machine/targets.hpp"
 #include "psins/convolution.hpp"
 #include "psins/energy.hpp"
@@ -9,6 +12,7 @@
 #include "psins/reference.hpp"
 #include "synth/specfem.hpp"
 #include "synth/tracer.hpp"
+#include "synth/uh3d.hpp"
 #include "util/error.hpp"
 
 namespace pmacx {
@@ -196,6 +200,55 @@ TEST(ReferenceTest, MeasuredRunIsPositiveAndDeterministic) {
   EXPECT_GT(a.runtime_seconds, 0.0);
   EXPECT_EQ(a.runtime_seconds, b.runtime_seconds);
   EXPECT_GT(a.compute_seconds, 0.0);
+}
+
+std::string hex(double value) {
+  std::ostringstream os;
+  os << std::hexfloat << value;
+  return os.str();
+}
+
+void expect_run_bits(const psins::MeasuredRun& run, double runtime, double compute,
+                     double comm) {
+  EXPECT_EQ(hex(run.runtime_seconds), hex(runtime));
+  EXPECT_EQ(hex(run.compute_seconds), hex(compute));
+  EXPECT_EQ(hex(run.comm_seconds), hex(comm));
+}
+
+TEST(ReferenceTest, MeasuredRunMatchesGoldenBits) {
+  // Bitwise goldens of the "measured" runtime: how the reference simulator
+  // stages and replays its streams must never move a bit of the result.
+  // The cap leaves every sampled kernel a ragged final staged block.
+  const synth::Specfem3dApp specfem;
+  const synth::Uh3dApp uh3d;
+  psins::ReferenceOptions options;
+  options.max_refs_per_kernel = 30'001;
+  {
+    SCOPED_TRACE("specfem3d @ 96, pure MPI");
+    expect_run_bits(psins::measure_run(specfem, 96, test_profile(), options),
+                    0x1.45c4e03f03507p-2, 0x1.3eff3c5397743p-2, 0x1.b137e2f8648acp-8);
+  }
+  {
+    SCOPED_TRACE("uh3d @ 1024, pure MPI");
+    expect_run_bits(psins::measure_run(uh3d, 1024, test_profile(), options),
+                    0x1.3e779671f295fp+5, 0x1.3a6147d612646p+5, 0x1.0551eb4c55ff8p-1);
+  }
+  {
+    SCOPED_TRACE("uh3d @ 1024, 2 threads sharing L3");
+    psins::ReferenceOptions hybrid = options;
+    hybrid.threads_per_rank = 2;
+    hybrid.shared_from_level = 2;
+    expect_run_bits(psins::measure_run(uh3d, 1024, test_profile(), hybrid),
+                    0x1.616fddcae9628p+4, 0x1.5cd6ab8ff01f6p+4, 0x1.26039ea03a168p-2);
+  }
+  {
+    // A prefetcher rules out access_block's grouped replay.
+    SCOPED_TRACE("specfem3d @ 96, prefetching target");
+    machine::MachineProfile prefetching = test_profile();
+    prefetching.system.hierarchy.prefetch.enabled = true;
+    expect_run_bits(psins::measure_run(specfem, 96, prefetching, options),
+                    0x1.b378c3e1d2e18p-3, 0x1.a7f0ba59c2ac2p-3, 0x1.70e091c7b1c5p-8);
+  }
 }
 
 TEST(ReferenceTest, PredictionTracksMeasurement) {

@@ -13,7 +13,7 @@
 
 #include "core/extrapolator.hpp"
 #include "machine/targets.hpp"
-#include "memsim/parallel_replay.hpp"
+#include "memsim/hierarchy.hpp"
 #include "memsim/ref_block.hpp"
 #include "synth/patterns.hpp"
 #include "trace/binary_io.hpp"
@@ -139,18 +139,40 @@ TEST(SimdIdentityTest, FittedModelSetIdenticalAcrossLevels) {
 
 // -------------------------------------------------------------- cache sim ----
 
-memsim::RankStreamFactory identity_factory(synth::Pattern pattern) {
-  return [pattern](std::uint32_t rank) -> memsim::RefGenerator {
-    synth::StreamSpec spec;
-    spec.pattern = pattern;
-    spec.base_addr = (1ull << 40) + (static_cast<std::uint64_t>(rank) << 30);
-    spec.footprint_bytes = 1u << 20;
-    spec.elem_bytes = 8;
-    spec.stride_elems = 3;
-    spec.store_fraction = 0.25;
-    synth::RefStream stream(spec, 4000 + rank);
-    return [stream]() mutable { return stream.next(); };
-  };
+synth::RefStream identity_stream(synth::Pattern pattern, std::uint32_t rank) {
+  synth::StreamSpec spec;
+  spec.pattern = pattern;
+  spec.base_addr = (1ull << 40) + (static_cast<std::uint64_t>(rank) << 30);
+  spec.footprint_bytes = 1u << 20;
+  spec.elem_bytes = 8;
+  spec.stride_elems = 3;
+  spec.store_fraction = 0.25;
+  return synth::RefStream(spec, 4000 + rank);
+}
+
+/// Streams `refs` references of each of four ranks' identity streams
+/// through a private hierarchy per rank, staged into full RefBlocks.
+std::vector<memsim::AccessCounters> replay_four_ranks(const memsim::HierarchyConfig& config,
+                                                      synth::Pattern pattern,
+                                                      std::uint64_t refs) {
+  std::vector<memsim::AccessCounters> counters;
+  util::Arena arena;
+  memsim::RefBlockBuilder builder(arena, memsim::kStagedRefs);
+  for (std::uint32_t rank = 0; rank < 4; ++rank) {
+    memsim::CacheHierarchy hierarchy(config);
+    hierarchy.set_scope(rank + 1);
+    synth::RefStream stream = identity_stream(pattern, rank);
+    for (std::uint64_t remaining = refs; remaining > 0;) {
+      builder.clear();
+      for (; remaining > 0 && !builder.full(); --remaining) {
+        const memsim::MemRef ref = stream.next();
+        builder.push(ref.addr, ref.size, ref.is_store);
+      }
+      hierarchy.access_block(builder.block());
+    }
+    counters.push_back(hierarchy.totals());
+  }
+  return counters;
 }
 
 void expect_identical(const memsim::AccessCounters& a, const memsim::AccessCounters& b) {
@@ -168,33 +190,32 @@ void expect_identical(const memsim::AccessCounters& a, const memsim::AccessCount
 
 TEST(SimdIdentityTest, CacheReplayCountersIdenticalAcrossLevels) {
   // Hierarchies capture their find_tag kernel at construction, so the level
-  // must be pinned before replay_ranks constructs them.
+  // must be pinned before replay_four_ranks constructs them.
   const memsim::HierarchyConfig config = machine::bluewaters_p1().hierarchy;
   for (const synth::Pattern pattern :
        {synth::Pattern::Sequential, synth::Pattern::Random, synth::Pattern::Strided}) {
-    std::vector<memsim::RankReplay> scalar_replay;
+    std::vector<memsim::AccessCounters> scalar_replay;
     {
       ForcedLevel forced(Level::Scalar);
-      scalar_replay = memsim::replay_ranks(config, 4, 30'000, identity_factory(pattern));
+      scalar_replay = replay_four_ranks(config, pattern, 30'000);
     }
     if (!util::simd::avx2_available()) GTEST_SKIP() << "AVX2 not available";
     ForcedLevel forced(Level::Avx2);
-    const auto avx2_replay =
-        memsim::replay_ranks(config, 4, 30'000, identity_factory(pattern));
+    const auto avx2_replay = replay_four_ranks(config, pattern, 30'000);
     ASSERT_EQ(scalar_replay.size(), avx2_replay.size());
     for (std::size_t r = 0; r < scalar_replay.size(); ++r)
-      expect_identical(scalar_replay[r].counters, avx2_replay[r].counters);
+      expect_identical(scalar_replay[r], avx2_replay[r]);
   }
 }
 
 TEST(SimdIdentityTest, AccessBlockMatchesPerRefAccess) {
   const memsim::HierarchyConfig config = machine::bluewaters_p1().hierarchy;
-  memsim::RefGenerator gen_a = identity_factory(synth::Pattern::Strided)(0);
-  memsim::RefGenerator gen_b = identity_factory(synth::Pattern::Strided)(0);
+  synth::RefStream stream_a = identity_stream(synth::Pattern::Strided, 0);
+  synth::RefStream stream_b = identity_stream(synth::Pattern::Strided, 0);
 
   memsim::CacheHierarchy one_at_a_time(config);
   one_at_a_time.set_scope(7);
-  for (int i = 0; i < 50'000; ++i) one_at_a_time.access(gen_a());
+  for (int i = 0; i < 50'000; ++i) one_at_a_time.access(stream_a.next());
 
   memsim::CacheHierarchy blocked(config);
   blocked.set_scope(7);
@@ -205,7 +226,7 @@ TEST(SimdIdentityTest, AccessBlockMatchesPerRefAccess) {
   while (remaining > 0) {
     builder.clear();
     while (remaining > 0 && !builder.full()) {
-      const memsim::MemRef ref = gen_b();
+      const memsim::MemRef ref = stream_b.next();
       builder.push(ref.addr, ref.size, ref.is_store);
       --remaining;
     }
